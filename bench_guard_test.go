@@ -9,8 +9,9 @@ import (
 // TestBenchmarksRunOnce executes the whole benchmark suite with
 // -benchtime=1x so a benchmark that stops compiling or starts failing is
 // caught by the ordinary test run instead of bit-rotting until the next
-// hand-run evaluation. Snapshots of the key throughput numbers live in
-// BENCH_pr2.json and EXPERIMENTS.md.
+// hand-run evaluation. The history of the key throughput numbers lives
+// in EXPERIMENTS.md ("Benchmark history"); `bash bench/run.sh` is the
+// benchmark that measures them.
 func TestBenchmarksRunOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard skipped in -short mode")

@@ -8,6 +8,7 @@ package ximd_test
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -254,6 +255,57 @@ func benchSweepSuite(b *testing.B, workers int) {
 		}
 	}
 	b.ReportMetric(float64(cycles), "machine-cycles")
+}
+
+// paperSuiteTasks is the sweep suite plus the xbench tasks it leaves
+// out: the compiled Livermore loops, the memory-flag and VLIW-style
+// IOPORTS variants, and the partial barrier.
+func paperSuiteTasks() []sweep.Task {
+	tasks := sweepSuiteTasks()
+	r := rand.New(rand.NewSource(17))
+	yv, zv, uv := make([]int32, 144), make([]int32, 144), make([]int32, 144)
+	for i := range yv {
+		yv[i], zv[i], uv[i] = int32(r.Intn(200)-100), int32(r.Intn(200)-100), int32(r.Intn(200)-100)
+	}
+	lp := workloads.LivermoreParams{N: 128, Q: 5, R: 3, T: -2}
+	for _, inst := range []*workloads.Instance{
+		workloads.LL1(yv, zv, lp), workloads.LL3(yv, zv, 128), workloads.LL7(yv, zv, uv, lp),
+	} {
+		tasks = append(tasks, sweep.XIMD(inst), sweep.VLIW(inst))
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		tasks = append(tasks,
+			sweep.XIMD(workloads.IOPorts(workloads.IOPortsFlags, seed, 1, 8)),
+			sweep.XIMD(workloads.IOPorts(workloads.IOPortsVLIW, seed, 20, 120)))
+	}
+	return append(tasks,
+		sweep.XIMD(workloads.PartialBarrier(2, 40, 40, 2)),
+		sweep.XIMD(workloads.PartialBarrierFull(2, 40, 40, 2)))
+}
+
+// TestSweepSuitePassesAgree runs the paper suite three times in one
+// process. From the second pass on, task memory images are ones earlier
+// tasks released, so any state a recycled image leaked would move a
+// cycle count or a statistic.
+func TestSweepSuitePassesAgree(t *testing.T) {
+	tasks := paperSuiteTasks()
+	var first []sweep.Result
+	for pass := 0; pass < 3; pass++ {
+		res, err := sweep.Run(context.Background(), tasks, sweep.Options{Workers: 2})
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		if pass == 0 {
+			first = res
+			continue
+		}
+		for i, r := range res {
+			if r.Cycles != first[i].Cycles || !reflect.DeepEqual(r.Stats, first[i].Stats) {
+				t.Fatalf("pass %d, %s: cycles %d, stats %+v; pass 0 had %d, %+v",
+					pass, r.Name, r.Cycles, r.Stats, first[i].Cycles, first[i].Stats)
+			}
+		}
+	}
 }
 
 func BenchmarkSweepSuiteSerial(b *testing.B)   { benchSweepSuite(b, 1) }

@@ -1,6 +1,9 @@
 package core
 
-import "ximd/internal/isa"
+import (
+	"ximd/internal/isa"
+	"ximd/internal/mem"
+)
 
 // This file is the runtime half of the fused execution engine (fuse.go
 // builds the static tables). StepN is the bulk stepping API: wherever
@@ -19,7 +22,8 @@ import "ximd/internal/isa"
 //     rule joins them after the first update (see fuseExit).
 //   - Register file and memory: operand reads go straight to the
 //     committed arrays (writes are buffered per word and applied at
-//     word end, which the static conflict-freedom rule makes exact),
+//     word end, which the static conflict-freedom rule makes exact;
+//     each stored word marks its page in the memory's dirty bitmap),
 //     and the cumulative port/counter accounting is folded in bulk via
 //     regfile.AddBulk and mem.AddCounters.
 //   - Errors: all mid-word effects live in local buffers, so when an
@@ -101,7 +105,7 @@ func (m *Machine) fusibleAt() uint64 {
 func (m *Machine) fusedRun(entry isa.Addr, maxWords uint64) (uint64, error) {
 	fi := m.fuse
 	regs := m.regs.Raw()
-	words := m.shared.Raw()
+	words, dirty := m.shared.Raw()
 	memSize := uint32(len(words))
 	tolerate := m.config.TolerateConflicts
 
@@ -197,6 +201,7 @@ func (m *Machine) fusedRun(entry isa.Addr, maxWords uint64) (uint64, error) {
 		}
 		for si := 0; si < ns; si++ {
 			words[sAddr[si]] = sVal[si]
+			dirty[mem.DirtyIndex(sAddr[si])] |= mem.DirtyBit(sAddr[si])
 		}
 		ccBits = (ccBits &^ ccSet) | ccVal
 		ccValidBits |= ccSet

@@ -77,7 +77,10 @@ func ParseMemPokes(specs []string) ([]MemPoke, error) {
 	return out, nil
 }
 
-// ParseMemPeeks parses repeated "ADDR:N" specs.
+// ParseMemPeeks parses repeated "ADDR:N" specs. A range that leaves
+// the default shared-memory address space is rejected: a peek is read
+// into a fresh N-word slice, so an unbounded N is an unbounded
+// allocation.
 func ParseMemPeeks(specs []string) ([]MemPeek, error) {
 	var out []MemPeek
 	for _, s := range specs {
@@ -92,6 +95,9 @@ func ParseMemPeeks(specs []string) ([]MemPeek, error) {
 		n, err := strconv.Atoi(parts[1])
 		if err != nil || n < 1 {
 			return nil, fmt.Errorf("bad count in %q", s)
+		}
+		if base+uint64(n) > mem.DefaultWords {
+			return nil, fmt.Errorf("memory peek %q: range [%d,%d) outside memory of %d words", s, base, base+uint64(n), mem.DefaultWords)
 		}
 		out = append(out, MemPeek{Base: uint32(base), N: n})
 	}

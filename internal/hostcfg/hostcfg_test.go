@@ -1,6 +1,7 @@
 package hostcfg
 
 import (
+	"strings"
 	"testing"
 
 	"ximd/internal/mem"
@@ -54,6 +55,27 @@ func TestParseMemPeeks(t *testing.T) {
 	for _, bad := range []string{"1024", "x:4", "1024:0", "1024:x"} {
 		if _, err := ParseMemPeeks([]string{bad}); err == nil {
 			t.Errorf("accepted %q", bad)
+		}
+	}
+}
+
+// TestParseMemPeeksBoundsRange holds peeks to the address space: the
+// last word is readable, one past it is not, and a huge count fails at
+// parse time instead of allocating its slice.
+func TestParseMemPeeksBoundsRange(t *testing.T) {
+	for _, ok := range []string{"0:1048576", "1048575:1", "1048560:16"} {
+		if _, err := ParseMemPeeks([]string{ok}); err != nil {
+			t.Errorf("rejected in-range %q: %v", ok, err)
+		}
+	}
+	for _, bad := range []string{"0:1048577", "1048576:1", "1048575:2", "0:2000000000", "4294967295:1", "0:9223372036854775807"} {
+		_, err := ParseMemPeeks([]string{bad})
+		if err == nil {
+			t.Errorf("accepted out-of-range %q", bad)
+			continue
+		}
+		if !strings.Contains(err.Error(), "outside memory of 1048576 words") || !strings.Contains(err.Error(), bad) {
+			t.Errorf("%q: error %q does not name the range", bad, err)
 		}
 	}
 }

@@ -28,10 +28,36 @@ type Checkpointable interface {
 	RestoreState(State) error
 }
 
+// sharedState holds only the dirty pages of the image: pages is their
+// words concatenated in ascending page order, and every page not set in
+// dirty is all zero.
 type sharedState struct {
-	words  []isa.Word
+	size   uint32
+	dirty  []uint64
+	pages  []isa.Word
 	loads  uint64
 	stores uint64
+}
+
+// forEachChunk calls fn with each maximal run of consecutive dirty
+// pages: its first address and its words. Runs are ascending and
+// separated by at least one clean (all-zero) page.
+func (st *sharedState) forEachChunk(fn func(base int, words []isa.Word)) {
+	off, base, n := 0, 0, 0
+	forEachPage(st.dirty, int(st.size), func(lo, hi int) {
+		if n > 0 && lo != base+n {
+			fn(base, st.pages[off:off+n])
+			off += n
+			n = 0
+		}
+		if n == 0 {
+			base = lo
+		}
+		n += hi - lo
+	})
+	if n > 0 {
+		fn(base, st.pages[off:off+n])
+	}
 }
 
 // SnapshotState implements Checkpointable. A memory with mapped devices
@@ -40,14 +66,21 @@ func (m *Shared) SnapshotState() (State, error) {
 	if len(m.mappings) > 0 {
 		return nil, fmt.Errorf("mem: cannot checkpoint shared memory with %d mapped devices", len(m.mappings))
 	}
-	return &sharedState{
-		words:  append([]isa.Word(nil), m.words...),
+	n := 0
+	forEachPage(m.dirty, len(m.words), func(lo, hi int) { n += hi - lo })
+	st := &sharedState{
+		size:   uint32(len(m.words)),
+		dirty:  append([]uint64(nil), m.dirty...),
+		pages:  make([]isa.Word, 0, n),
 		loads:  m.loads,
 		stores: m.stores,
-	}, nil
+	}
+	forEachPage(m.dirty, len(m.words), func(lo, hi int) { st.pages = append(st.pages, m.words[lo:hi]...) })
+	return st, nil
 }
 
-// RestoreState implements Checkpointable.
+// RestoreState implements Checkpointable: it zeroes the current dirty
+// pages, writes the checkpoint's pages, and takes its dirty set.
 func (m *Shared) RestoreState(s State) error {
 	st, ok := s.(*sharedState)
 	if !ok {
@@ -56,10 +89,12 @@ func (m *Shared) RestoreState(s State) error {
 	if len(m.mappings) > 0 {
 		return fmt.Errorf("mem: cannot restore shared memory with %d mapped devices", len(m.mappings))
 	}
-	if len(st.words) != len(m.words) {
-		return fmt.Errorf("mem: checkpoint of %d words does not fit memory of %d", len(st.words), len(m.words))
+	if int(st.size) != len(m.words) {
+		return fmt.Errorf("mem: checkpoint of %d words does not fit memory of %d", st.size, len(m.words))
 	}
-	copy(m.words, st.words)
+	m.zeroDirty()
+	st.forEachChunk(func(base int, words []isa.Word) { copy(m.words[base:], words) })
+	copy(m.dirty, st.dirty)
 	m.loads, m.stores = st.loads, st.stores
 	m.pending = m.pending[:0]
 	return nil

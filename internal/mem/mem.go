@@ -15,6 +15,8 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"ximd/internal/isa"
 )
@@ -82,8 +84,17 @@ type pendingStore struct {
 }
 
 // Shared is the idealized shared memory of the research model.
+//
+// The words are one dense array, so loads and stores stay a bounds
+// check and an index. Beside it a dirty bitmap records which pages
+// (PageWords words each) have been written since the image was last
+// zeroed: a clean page is all zero, a dirty page may hold anything.
+// Checkpoints copy and encode only the dirty pages, and Release
+// re-zeroes only them, so a run pays for the pages it touches rather
+// than for the whole address space.
 type Shared struct {
 	words    []isa.Word
+	dirty    []uint64 // bit p%64 of dirty[p/64]: page p may be nonzero
 	mappings []mapping
 	pending  []pendingStore
 	cycle    uint64
@@ -95,13 +106,87 @@ type Shared struct {
 // DefaultWords is the default shared-memory size: 1M 32-bit words (4MB).
 const DefaultWords = 1 << 20
 
-// NewShared returns a shared memory of the given size in words; size 0
-// selects DefaultWords.
+// PageWords is the dirty-tracking granularity in words. DirtyIndex
+// and DirtyBit locate an address's page in the bitmap Raw returns.
+const (
+	PageWords = 1 << pageShift
+	pageShift = 10
+)
+
+// DirtyIndex returns the bitmap word holding addr's page bit.
+func DirtyIndex(addr uint32) uint32 { return addr >> (pageShift + 6) }
+
+// DirtyBit returns addr's page bit within its bitmap word.
+func DirtyBit(addr uint32) uint64 { return 1 << (addr >> pageShift & 63) }
+
+// sharedPool recycles released default-size images. A sync.Pool rather
+// than a free list: the runtime empties it over two collections, so an
+// idle process does not keep dead 4 MB images live.
+var sharedPool sync.Pool
+
+// NewShared returns a zeroed shared memory of the given size in words;
+// size 0 selects DefaultWords. Default-size images are recycled from
+// the ones Release returned.
 func NewShared(size uint32) *Shared {
 	if size == 0 {
 		size = DefaultWords
 	}
-	return &Shared{words: make([]isa.Word, size)}
+	if size == DefaultWords {
+		if v := sharedPool.Get(); v != nil {
+			return v.(*Shared)
+		}
+	}
+	return &Shared{
+		words: make([]isa.Word, size),
+		dirty: make([]uint64, bitmapWords(size)),
+	}
+}
+
+// bitmapWords is the length of the dirty bitmap of a size-word image.
+func bitmapWords(size uint32) int {
+	pages := (uint64(size) + PageWords - 1) >> pageShift
+	return int((pages + 63) / 64)
+}
+
+// Release hands the image back for reuse by a later NewShared: it
+// zeroes the dirty pages, drops device mappings and staged stores, and
+// resets the counters and cycle. Only the image's sole owner may call
+// it, once, when nothing (machine, result, caller) will touch the
+// image again; images of other sizes are simply left to the collector.
+func (m *Shared) Release() {
+	m.zeroDirty()
+	clear(m.mappings)
+	m.mappings = m.mappings[:0]
+	clear(m.pending)
+	m.pending = m.pending[:0]
+	m.cycle, m.loads, m.stores = 0, 0, 0
+	if len(m.words) == DefaultWords {
+		sharedPool.Put(m)
+	}
+}
+
+// zeroDirty zeroes every dirty page and marks the image clean.
+func (m *Shared) zeroDirty() {
+	forEachPage(m.dirty, len(m.words), func(lo, hi int) { clear(m.words[lo:hi]) })
+	clear(m.dirty)
+}
+
+// forEachPage calls fn with the word range [lo, hi) of each page set in
+// dirty, in ascending order, for an image of size words.
+func forEachPage(dirty []uint64, size int, fn func(lo, hi int)) {
+	for i, bm := range dirty {
+		for bm != 0 {
+			p := i*64 + bits.TrailingZeros64(bm)
+			bm &= bm - 1
+			lo := p << pageShift
+			fn(lo, min(lo+PageWords, size))
+		}
+	}
+}
+
+// markDirty records a write to addr, which must be in range.
+func (m *Shared) markDirty(addr uint32) {
+	m.dirty[DirtyIndex(addr)] |= DirtyBit(addr)
 }
 
 // Size returns the memory size in words.
@@ -205,6 +290,7 @@ func (m *Shared) Commit() {
 			p.dev.dev.Store(m.cycle, p.addr-p.dev.base, p.val)
 		} else {
 			m.words[p.addr] = p.val
+			m.markDirty(p.addr)
 		}
 	}
 }
@@ -222,6 +308,7 @@ func (m *Shared) Peek(addr uint32) isa.Word {
 func (m *Shared) Poke(addr uint32, v isa.Word) {
 	if addr < m.Size() {
 		m.words[addr] = v
+		m.markDirty(addr)
 	}
 }
 
@@ -250,12 +337,14 @@ func (m *Shared) Counters() (loads, stores uint64) { return m.loads, m.stores }
 // entering a fused run.
 func (m *Shared) HasMappings() bool { return len(m.mappings) > 0 }
 
-// Raw exposes the RAM words directly, bypassing devices, staging, and
-// accounting. It exists for the fused execution engines, which buffer
-// stores themselves and account loads/stores in bulk via AddCounters;
-// any other caller should use Load/Store or Peek/Poke. The caller must
+// Raw exposes the RAM words and the dirty-page bitmap directly,
+// bypassing devices, staging, and accounting. It exists for the fused
+// execution engines, which buffer stores themselves and account
+// loads/stores in bulk via AddCounters; any other caller should use
+// Load/Store or Peek/Poke. Every word the caller writes must set its
+// page bit: dirty[DirtyIndex(addr)] |= DirtyBit(addr). The caller must
 // have checked HasMappings() == false.
-func (m *Shared) Raw() []isa.Word { return m.words }
+func (m *Shared) Raw() (words []isa.Word, dirty []uint64) { return m.words, m.dirty }
 
 // AddCounters folds externally-accounted load/store counts into the
 // cumulative counters — the bulk half of the fused engines' deferred

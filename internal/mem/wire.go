@@ -29,19 +29,36 @@ const (
 // segment header.
 const segGap = 8
 
-// encodeWords appends the sparse segment encoding of words.
-func encodeWords(w *wire.Writer, words []isa.Word) {
-	w.U32(uint32(len(words)))
+// chunks yields, in ascending order, every region of a word array that
+// may hold nonzero words: the region's first address and its words.
+// Regions are separated by at least segGap zeros, so no segment spans
+// two of them.
+type chunks func(fn func(base int, words []isa.Word))
+
+// dense is the chunks of a plain word array: the whole array.
+func dense(words []isa.Word) chunks {
+	return func(fn func(int, []isa.Word)) { fn(0, words) }
+}
+
+// encodeWords appends the sparse segment encoding of a size-word array
+// whose nonzero words all lie in cs. The bytes depend only on the
+// array's contents, not on how cs splits it.
+func encodeWords(w *wire.Writer, size int, cs chunks) {
+	w.U32(uint32(size))
 	// First pass: count segments (the count prefixes the list).
 	var nseg uint32
-	forEachSegment(words, func(start, end int) { nseg++ })
+	cs(func(_ int, words []isa.Word) {
+		forEachSegment(words, func(start, end int) { nseg++ })
+	})
 	w.U32(nseg)
-	forEachSegment(words, func(start, end int) {
-		w.U32(uint32(start))
-		w.U32(uint32(end - start))
-		for _, v := range words[start:end] {
-			w.U32(uint32(v))
-		}
+	cs(func(base int, words []isa.Word) {
+		forEachSegment(words, func(start, end int) {
+			w.U32(uint32(base + start))
+			w.U32(uint32(end - start))
+			for _, v := range words[start:end] {
+				w.U32(uint32(v))
+			}
+		})
 	})
 }
 
@@ -66,39 +83,85 @@ func forEachSegment(words []isa.Word, fn func(start, end int)) {
 	}
 }
 
-// decodeWords reads a sparse segment encoding into a fresh zeroed
-// slice of the declared size. Segment bounds are validated against the
-// declared size, and the size itself against maxWords, so corrupt
-// bytes fail instead of allocating or writing out of range.
-func decodeWords(r *wire.Reader, maxWords uint32) ([]isa.Word, error) {
+// decodeSize reads the declared size of a sparse segment encoding,
+// validated against maxWords so corrupt bytes cannot demand a huge
+// allocation.
+func decodeSize(r *wire.Reader, maxWords uint32) (uint32, error) {
 	size := r.U32()
 	if size > maxWords {
-		return nil, fmt.Errorf("mem: decoded size %d exceeds limit %d", size, maxWords)
+		return 0, fmt.Errorf("mem: decoded size %d exceeds limit %d", size, maxWords)
 	}
+	return size, r.Err()
+}
+
+// decodeSegments reads the segment list of a sparse encoding of a
+// size-word array and passes every decoded word to put, in ascending
+// address order. Segment bounds are validated against size and their
+// lengths against the remaining input, so corrupt bytes fail instead of
+// writing out of range.
+func decodeSegments(r *wire.Reader, size uint32, put func(addr uint32, v isa.Word)) error {
 	nseg := r.U32()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	words := make([]isa.Word, size)
 	prevEnd := uint32(0)
 	for s := uint32(0); s < nseg; s++ {
 		start := r.U32()
 		n := r.U32()
 		if err := r.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		if start < prevEnd || n == 0 || uint64(start)+uint64(n) > uint64(size) {
-			return nil, fmt.Errorf("mem: segment [%d,+%d) out of order or out of range %d", start, n, size)
+			return fmt.Errorf("mem: segment [%d,+%d) out of order or out of range %d", start, n, size)
+		}
+		if uint64(n)*4 > uint64(r.Remaining()) {
+			return wire.ErrTruncated
 		}
 		for i := uint32(0); i < n; i++ {
-			words[start+i] = isa.Word(r.U32())
+			put(start+i, isa.Word(r.U32()))
 		}
 		prevEnd = start + n
 	}
-	if err := r.Err(); err != nil {
+	return r.Err()
+}
+
+// decodeWords reads a sparse segment encoding into a fresh zeroed
+// slice of the declared size.
+func decodeWords(r *wire.Reader, maxWords uint32) ([]isa.Word, error) {
+	size, err := decodeSize(r, maxWords)
+	if err != nil {
+		return nil, err
+	}
+	words := make([]isa.Word, size)
+	if err := decodeSegments(r, size, func(addr uint32, v isa.Word) { words[addr] = v }); err != nil {
 		return nil, err
 	}
 	return words, nil
+}
+
+// zeroPage backs the fresh pages decodeShared appends.
+var zeroPage [PageWords]isa.Word
+
+// decodeShared reads a sparse segment encoding into a shared-memory
+// checkpoint holding only the pages the segments touch.
+func decodeShared(r *wire.Reader, st *sharedState) error {
+	size, err := decodeSize(r, maxCheckpointWords)
+	if err != nil {
+		return err
+	}
+	st.size = size
+	st.dirty = make([]uint64, bitmapWords(size))
+	page, pageBase := uint32(0), 0 // the latest page: its index and offset in st.pages
+	return decodeSegments(r, size, func(addr uint32, v isa.Word) {
+		if len(st.pages) == 0 || addr>>pageShift != page {
+			page = addr >> pageShift
+			lo := page << pageShift
+			pageBase = len(st.pages)
+			st.pages = append(st.pages, zeroPage[:min(PageWords, size-lo)]...)
+			st.dirty[DirtyIndex(addr)] |= DirtyBit(addr)
+		}
+		st.pages[pageBase+int(addr-(page<<pageShift))] = v
+	})
 }
 
 // maxCheckpointWords bounds a decoded memory geometry (words per array
@@ -115,13 +178,13 @@ func EncodeState(w *wire.Writer, s State) error {
 		w.U8(stateTagShared)
 		w.U64(st.loads)
 		w.U64(st.stores)
-		encodeWords(w, st.words)
+		encodeWords(w, int(st.size), st.forEachChunk)
 		return nil
 	case *distributedState:
 		w.U8(stateTagDistributed)
 		w.U32(uint32(len(st.banks)))
 		for _, b := range st.banks {
-			encodeWords(w, b)
+			encodeWords(w, len(b), dense(b))
 		}
 		return nil
 	default:
@@ -136,12 +199,10 @@ func DecodeState(r *wire.Reader) (State, error) {
 	switch tag := r.U8(); tag {
 	case stateTagShared:
 		st := &sharedState{loads: r.U64(), stores: r.U64()}
-		words, err := decodeWords(r, maxCheckpointWords)
-		if err != nil {
+		if err := decodeShared(r, st); err != nil {
 			return nil, err
 		}
-		st.words = words
-		return st, r.Err()
+		return st, nil
 	case stateTagDistributed:
 		n := r.U32()
 		if n > isa.NumFU {

@@ -543,6 +543,14 @@ func (m *manager) finish(j *job, res runner.Result, err error, execDur time.Dura
 	} else {
 		m.archiveJob(j)
 	}
+	// Both documents are built: the memory image has served its last
+	// peek. Recycle it rather than hold 4 MB per finished job.
+	m.mu.Lock()
+	j.result.Memory = nil
+	m.mu.Unlock()
+	if res.Memory != nil {
+		res.Memory.Release()
+	}
 
 	// Freeze the job's trace-tree root before the terminal flip, so a
 	// client that observes done/failed can immediately fetch the full

@@ -235,6 +235,7 @@ func TestBadRequestsAre400(t *testing.T) {
 		{"bad arch", JobRequest{Arch: "mips", Source: spinSrc}},
 		{"bad poke", JobRequest{Source: spinSrc, Pokes: []string{"q1=2"}}},
 		{"bad peek", JobRequest{Source: spinSrc, Peeks: []string{"abc"}}},
+		{"peek past memory", JobRequest{Source: spinSrc, Peeks: []string{"0:2000000000"}}},
 		{"bad inject", JobRequest{Source: spinSrc, Inject: "lat=banana"}},
 		{"non-vliw code for vliw", JobRequest{Arch: "vliw", Source: `
 .fus 2
@@ -262,6 +263,20 @@ l:
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestOversizedPeekIs400 submits a peek far past the address space:
+// the daemon must refuse it at admission, naming the range, rather than
+// queue a job whose result document would allocate the whole range.
+func TestOversizedPeekIs400(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 2})
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", JobRequest{Source: spinSrc, Peeks: []string{"16:2000000000"}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (%s)", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "[16,2000000016)") {
+		t.Fatalf("400 body does not name the range: %s", body)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -145,4 +146,44 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestFinishedJobsDoNotHoldMemoryImages runs 200 jobs through one
+// manager and keeps them all in its job table. Each run owns a 4 MB
+// memory image; a daemon that kept the image of every finished job
+// would grow by ~800 MB here, so live heap after a full collection must
+// grow by far less. Every job's peek is checked too: the image must
+// outlive both result documents.
+func TestFinishedJobsDoNotHoldMemoryImages(t *testing.T) {
+	_, ts, _ := newArchiveServer(t, Options{Workers: 2, QueueDepth: 256})
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	const jobs = 200
+	ids := make([]string, jobs)
+	for i := range ids {
+		ids[i] = submit(t, ts, JobRequest{
+			Source: storeSrc,
+			Pokes:  []string{"r1=" + strconv.Itoa(i), "r2=1"},
+			Peeks:  []string{"100:1"},
+		}).ID
+	}
+	for i, id := range ids {
+		st, _ := waitTerminal(t, ts, id)
+		if st.Status != StateDone {
+			t.Fatalf("job %s: %s", id, st.Error)
+		}
+		if got := st.Result.Peeks[0].Values[0]; got != int32(i+1) {
+			t.Fatalf("job %s: M[100] = %d, want %d", id, got, i+1)
+		}
+	}
+	after := liveHeap()
+	if grown := int64(after) - int64(before); grown >= 64<<20 {
+		t.Fatalf("live heap grew %d MB over %d finished jobs, want < 64 MB", grown>>20, jobs)
+	}
 }

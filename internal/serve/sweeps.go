@@ -157,6 +157,7 @@ func (s *Server) runSweepVariants(base *job, variants []sweepVariant, parent *ob
 			vs.SetAttr("name", variants[i].name)
 			res, err := runner.Run(ctx, base.prog, spec, runner.Options{Span: vs})
 			if err != nil {
+				res.Memory.Release()
 				vs.SetAttr("error", err.Error())
 				vs.Finish()
 				return sweep.Outcome{}, err
@@ -166,6 +167,7 @@ func (s *Server) runSweepVariants(base *job, variants []sweepVariant, parent *ob
 			// the baseline should carry everything the gate can compare
 			// — while the response honours the request's profile flag.
 			full := runner.NewResultDoc(res, base.peeks, true)
+			res.Memory.Release()
 			archDocs[i] = &full
 			doc := full
 			if !base.profile {

@@ -9,9 +9,10 @@
 // The contract with Reset keeps this safe: Reset rebinds every piece of
 // architectural and host state (TestResetMatchesNew holds it to the New
 // contract), and a machine whose Reset or run failed is simply not
-// returned to the pool — errors discard, never recycle. Memory is never
-// pooled: each task's environment owns its memory image, which carries
-// poked input data and memory-mapped devices.
+// returned to the pool — errors discard, never recycle. Memory images
+// go back through mem.Shared.Release under the same rule: a task's
+// environment is the image's sole owner, so once the result check has
+// read it and the machine is back in its pool, nothing can touch it.
 package sweep
 
 import (
@@ -19,7 +20,9 @@ import (
 
 	"ximd/internal/core"
 	"ximd/internal/isa"
+	"ximd/internal/mem"
 	"ximd/internal/vliw"
+	"ximd/internal/workloads"
 )
 
 // ximdPools and vliwPools hold retired machines, indexed by the
@@ -61,3 +64,11 @@ func acquireVLIW(prog *vliw.Program, cfg vliw.Config) (*vliw.Machine, error) {
 
 // releaseVLIW returns a successfully-run machine to its shape's pool.
 func releaseVLIW(numFU int, m *vliw.Machine) { vliwPools[numFU].Put(m) }
+
+// releaseMem recycles a successful task's shared-memory image. Only
+// call it after the machine is released and the result checked.
+func releaseMem(env *workloads.Env) {
+	if sh, ok := env.Mem.(*mem.Shared); ok {
+		sh.Release()
+	}
+}

@@ -297,8 +297,9 @@ func runAttempt(ctx context.Context, t *Task, timeout time.Duration) (out Outcom
 // invocation builds a fresh environment, acquires a machine from the
 // shape-keyed pool (recycling retired machines through Reset), runs it
 // to completion, verifies the result, and snapshots cycles and stats.
-// The machine is recycled only on full success; any failure discards
-// it, so a fault can never leak state into a later task.
+// The machine and its memory image are recycled only on full success;
+// any failure discards them, so a fault can never leak state into a
+// later task.
 func XIMD(inst *workloads.Instance) Task {
 	// Predecode (and fuse) once at adapter construction: every run of
 	// the task shares the immutable decode table, so per-task work is
@@ -333,12 +334,13 @@ func XIMD(inst *workloads.Instance) Task {
 		}
 		out := Outcome{Cycles: m.Cycle(), Stats: m.Stats()}
 		releaseXIMD(inst.XIMD.NumFU, m)
+		releaseMem(env)
 		return out, nil
 	}}
 }
 
 // VLIW adapts a workload instance's VLIW variant into a Task, with the
-// same pooled-machine lifecycle as XIMD.
+// same pooled-machine and memory lifecycle as XIMD.
 func VLIW(inst *workloads.Instance) Task {
 	var decoded *vliw.Decoded
 	var decodeErr error
@@ -370,6 +372,7 @@ func VLIW(inst *workloads.Instance) Task {
 		}
 		out := Outcome{Cycles: m.Cycle(), Stats: m.Stats()}
 		releaseVLIW(inst.VLIW.NumFU, m)
+		releaseMem(env)
 		return out, nil
 	}}
 }

@@ -1,6 +1,9 @@
 package vliw
 
-import "ximd/internal/isa"
+import (
+	"ximd/internal/isa"
+	"ximd/internal/mem"
+)
 
 // This file is the runtime half of the VLIW fused execution engine
 // (fuse.go builds the static tables); it mirrors the XIMD core's
@@ -67,7 +70,7 @@ func (m *Machine) StepN(n uint64) (running bool, err error) {
 func (m *Machine) fusedRun(entry isa.Addr, maxWords uint64) (uint64, error) {
 	fi := m.fuse
 	regs := m.regs.Raw()
-	words := m.shared.Raw()
+	words, dirty := m.shared.Raw()
 	memSize := uint32(len(words))
 	tolerate := m.config.TolerateConflicts
 
@@ -161,6 +164,7 @@ func (m *Machine) fusedRun(entry isa.Addr, maxWords uint64) (uint64, error) {
 		}
 		for si := 0; si < ns; si++ {
 			words[sAddr[si]] = sVal[si]
+			dirty[mem.DirtyIndex(sAddr[si])] |= mem.DirtyBit(sAddr[si])
 		}
 		ccBits = (ccBits &^ ccSet) | ccVal
 		m.stats.MemConflicts += conflicts
